@@ -26,6 +26,7 @@ from repro.bgp.attributes import (
     PathAttributes,
 )
 from repro.mrt.constants import SAFI_UNICAST
+from repro.net.address import address_text
 from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix
 
 __all__ = ["encode_attributes", "decode_attributes", "DecodedUpdateBody"]
@@ -174,7 +175,10 @@ def decode_attributes(data: bytes, rib_entry: bool = False) -> DecodedUpdateBody
         elif type_code == ATTR_AS_PATH:
             result.as_path = _decode_as_path(payload)
         elif type_code == ATTR_NEXT_HOP:
-            result.next_hop = str(ipaddress.IPv4Address(payload))
+            if len(payload) != 4:
+                raise ValueError(
+                    f"NEXT_HOP must be 4 bytes, got {len(payload)}")
+            result.next_hop = address_text(payload)
         elif type_code == ATTR_AGGREGATOR:
             asn = struct.unpack("!I", payload[:4])[0]
             result.aggregator = Aggregator.from_bytes(asn, payload[4:8])
@@ -205,7 +209,7 @@ def _decode_mp_reach(payload: bytes, rib_entry: bool) -> tuple[str, list[Prefix]
     offset += 1
     nh_bytes = payload[offset:offset + nh_len]
     offset += nh_len
-    next_hop = str(ipaddress.ip_address(nh_bytes[:16] if nh_len >= 16 else nh_bytes))
+    next_hop = address_text(nh_bytes[:16] if nh_len >= 16 else nh_bytes)
     prefixes: list[Prefix] = []
     if not rib_entry:
         offset += 1  # reserved byte

@@ -33,6 +33,7 @@ from repro.mrt.constants import (
     BGP_MSG_UPDATE,
     MRT_BGP4MP,
 )
+from repro.net.address import address_text
 from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix
 
 __all__ = [
@@ -184,7 +185,7 @@ def decode_bgp4mp(header: MRTRecordHeader, body: bytes,
     _ifindex, afi = _U16_PAIR.unpack_from(body, asn_size)
     offset = asn_size + 4
     addr_len = 4 if afi == AFI_IPV4 else 16
-    peer_address = str(ipaddress.ip_address(body[offset:offset + addr_len]))
+    peer_address = address_text(body[offset:offset + addr_len])
     offset += 2 * addr_len  # skip local address too
 
     if header.subtype in (BGP4MP_STATE_CHANGE, BGP4MP_STATE_CHANGE_AS4):

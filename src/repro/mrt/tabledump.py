@@ -24,6 +24,7 @@ from repro.mrt.constants import (
     TDV2_RIB_IPV4_UNICAST,
     TDV2_RIB_IPV6_UNICAST,
 )
+from repro.net.address import address_text
 from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix
 
 __all__ = ["RibPeer", "RibEntry", "RibDump", "encode_rib_dump", "decode_rib_dump"]
@@ -136,7 +137,7 @@ def _decode_peer_index(body: bytes) -> tuple[str, list[RibPeer]]:
         peer_type = body[offset]
         offset += 1 + 4  # type + BGP ID
         addr_len = 16 if peer_type & PEER_TYPE_IPV6 else 4
-        address = str(ipaddress.ip_address(body[offset:offset + addr_len]))
+        address = address_text(body[offset:offset + addr_len])
         offset += addr_len
         if peer_type & PEER_TYPE_AS4:
             (asn,) = struct.unpack_from("!I", body, offset)

@@ -1,5 +1,6 @@
-"""Network-layer primitives: prefixes and ASNs."""
+"""Network-layer primitives: prefixes, addresses and ASNs."""
 
+from repro.net.address import address_text
 from repro.net.asn import ASInfo, WELL_KNOWN_ASES, asdot, is_private_asn, validate_asn
 from repro.net.prefix import AFI_IPV4, AFI_IPV6, Prefix
 
@@ -7,6 +8,7 @@ __all__ = [
     "AFI_IPV4",
     "AFI_IPV6",
     "Prefix",
+    "address_text",
     "ASInfo",
     "WELL_KNOWN_ASES",
     "asdot",

@@ -9,7 +9,7 @@ beacon prefix codecs.
 from __future__ import annotations
 
 import ipaddress
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 from typing import Union
 
 __all__ = ["Prefix", "AFI_IPV4", "AFI_IPV6"]
@@ -31,15 +31,24 @@ class Prefix:
     True
     """
 
-    __slots__ = ("_network",)
+    # ``_text`` and ``_hash`` cache ``str()`` and ``hash()`` of the
+    # network: prefixes are hashed and printed on every hot path.  The
+    # hash stays exactly ``hash(self._network)`` because set and dict
+    # iteration order (and so every recorded digest) depends on it.
+    __slots__ = ("_network", "_text", "_hash")
 
     def __init__(self, text: Union[str, _Network, "Prefix"]):
         if isinstance(text, Prefix):
             self._network = text._network
-        elif isinstance(text, (ipaddress.IPv4Network, ipaddress.IPv6Network)):
+            self._text = text._text
+            self._hash = text._hash
+            return
+        if isinstance(text, (ipaddress.IPv4Network, ipaddress.IPv6Network)):
             self._network = text
         else:
             self._network = ipaddress.ip_network(text, strict=True)
+        self._text = None
+        self._hash = hash(self._network)
 
     @property
     def network(self) -> _Network:
@@ -94,25 +103,29 @@ class Prefix:
             raise ValueError(f"prefix length {plen} too large for AFI {afi}")
         if len(data) < 1 + nbytes:
             raise ValueError("truncated NLRI entry")
-        raw = data[1:1 + nbytes] + b"\x00" * (width - nbytes)
-        addr = ipaddress.ip_address(raw)
-        network = ipaddress.ip_network(f"{addr}/{plen}", strict=False)
-        return cls(network), 1 + nbytes
+        return _wire_prefix(cls, data[:1 + nbytes], width), 1 + nbytes
+
+    def __reduce__(self):
+        # Rebuild the caches on unpickling rather than shipping them.
+        return type(self), (self._network,)
 
     def __str__(self) -> str:
-        return str(self._network)
+        text = self._text
+        if text is None:
+            text = self._text = str(self._network)
+        return text
 
     def __repr__(self) -> str:
-        return f"Prefix({str(self._network)!r})"
+        return f"Prefix({str(self)!r})"
 
     def __hash__(self) -> int:
-        return hash(self._network)
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Prefix):
             return self._network == other._network
         if isinstance(other, str):
-            return str(self._network) == other
+            return str(self) == other
         return NotImplemented
 
     def __lt__(self, other: "Prefix") -> bool:
@@ -124,3 +137,15 @@ class Prefix:
         key_other = (other._network.version, int(other._network.network_address),
                      other._network.prefixlen)
         return key_self < key_other
+
+
+@lru_cache(maxsize=4096)
+def _wire_prefix(cls: type, entry: bytes, width: int) -> Prefix:
+    """The prefix of one validated NLRI entry, built from its integer
+    value (no text round-trip).  Memoised: an archive repeats the same
+    prefixes record after record, and :class:`Prefix` is immutable."""
+    nbytes = len(entry) - 1
+    address = int.from_bytes(entry[1:], "big") << 8 * (width - nbytes)
+    network_type = (ipaddress.IPv4Network if width == 4
+                    else ipaddress.IPv6Network)
+    return cls(network_type((address, entry[0]), strict=False))

@@ -44,6 +44,7 @@ miniature:
 
 from repro.observatory.checkpoint import (
     CHECKPOINT_VERSION,
+    CheckpointError,
     load_checkpoint,
     save_checkpoint,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "AsyncHTTPTransport",
     "AsyncObservatoryServer",
     "CHECKPOINT_VERSION",
+    "CheckpointError",
     "CircuitBreaker",
     "ColsegError",
     "ColumnarSegment",

@@ -9,7 +9,14 @@ streaming detector, resurrection monitor and lifespan session.
 
 Writes go to a temp file in the same directory followed by
 ``os.replace``, so a crash leaves either the old checkpoint or the new
-one — never a torn file.
+one — never a torn file.  The document is encoded one top-level key at
+a time with :func:`json.dumps` (the C encoder; :func:`json.dump` always
+takes the pure-Python one) and the bytes are exactly what
+``json.dump(document, handle, sort_keys=True)`` writes, while only one
+section's text is alive at a time.
+
+Loading fails closed: anything but a JSON object of the current version
+raises :class:`CheckpointError` naming the file.
 """
 
 from __future__ import annotations
@@ -19,20 +26,35 @@ import os
 from pathlib import Path
 from typing import Any, Optional, Union
 
-__all__ = ["CHECKPOINT_VERSION", "load_checkpoint", "save_checkpoint"]
+__all__ = ["CHECKPOINT_VERSION", "CheckpointError", "load_checkpoint",
+           "save_checkpoint"]
 
 CHECKPOINT_VERSION = 1
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file exists but is not a usable checkpoint."""
+
+
 def save_checkpoint(path: Union[str, Path], document: dict[str, Any]) -> None:
-    """Atomically persist ``document`` (stamped with the version)."""
+    """Atomically persist ``document`` (stamped with the version).
+
+    The top-level keys are strings, so ``json.dumps(key)`` is the key
+    text ``json.dump`` would write."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = dict(document)
     payload["version"] = CHECKPOINT_VERSION
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
+        handle.write("{")
+        for index, key in enumerate(sorted(payload)):
+            if index:
+                handle.write(", ")
+            handle.write(json.dumps(key))
+            handle.write(": ")
+            handle.write(json.dumps(payload[key], sort_keys=True))
+        handle.write("}")
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
@@ -43,9 +65,21 @@ def load_checkpoint(path: Union[str, Path]) -> Optional[dict[str, Any]]:
     path = Path(path)
     if not path.exists():
         return None
-    with open(path, encoding="utf-8") as handle:
-        document = json.load(handle)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            document = json.load(handle)
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: checkpoint is not UTF-8: {exc}") \
+            from exc
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"{path}: checkpoint is not JSON: {exc}") \
+            from exc
+    if not isinstance(document, dict):
+        raise CheckpointError(
+            f"{path}: checkpoint is a JSON {type(document).__name__}, "
+            f"not an object")
     if document.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint version: {document.get('version')!r}")
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version: "
+            f"{document.get('version')!r}")
     return document

@@ -3,11 +3,15 @@ arbitrary record boundary and restarted produces an event store that is
 byte-identical to an uninterrupted run — including kills landing
 mid-outbreak and mid-resurrection (state buffered, event not yet due)."""
 
+import io
 import json
 
 import pytest
 
+import repro.observatory.ingest as ingest_module
 from repro.observatory import (
+    CHECKPOINT_VERSION,
+    CheckpointError,
     EventStore,
     ObservatoryIngest,
     build_synthetic_archive,
@@ -159,6 +163,37 @@ class TestCheckpointDocument:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    def test_version_mismatch_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps({"version": 99}))
+        with pytest.raises(CheckpointError, match="version: 99") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("body", [b"[]", b"null", b"42", b'"text"'])
+    def test_non_object_top_level_rejected(self, tmp_path, body):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(body)
+        with pytest.raises(CheckpointError, match="not an object") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("body", [b"", b"{", b'{"version": 1,}',
+                                      b'{"version": 1} trailing'])
+    def test_invalid_json_rejected(self, tmp_path, body):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(body)
+        with pytest.raises(CheckpointError, match="not JSON") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(b'{"version": 1, "x": "\xff\xfe"}')
+        with pytest.raises(CheckpointError, match="not UTF-8") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
     def test_window_mismatch_rejected(self, scenario, tmp_path):
         built, config = scenario
         ingest = make_ingest(scenario, tmp_path / "store",
@@ -191,3 +226,68 @@ class TestCheckpointDocument:
         resumed.run()
         resumed.finish()
         assert resumed.store.next_seq >= past
+
+
+def reference_encoding(document):
+    """What ``json.dump(payload, handle, sort_keys=True)`` writes."""
+    payload = dict(document)
+    payload["version"] = CHECKPOINT_VERSION
+    text = json.dumps(payload, sort_keys=True)
+    handle = io.StringIO()
+    json.dump(payload, handle, sort_keys=True)
+    assert handle.getvalue() == text
+    return text.encode("utf-8")
+
+
+class TestCheckpointEncoding:
+    """``save_checkpoint`` encodes one section at a time; the file must
+    still be byte-for-byte the single-document encoding."""
+
+    def test_edge_values_match_reference(self, tmp_path):
+        document = {
+            "zeta": None, "alpha": [], "empty": {}, "text": "Zürich → 東京",
+            "nested": {"b": [None, {}, []], "a": {"\u00e9": 1.5e-7}},
+            "numbers": [0, -1, 2**70, 0.1, 1e300], "flag": False,
+        }
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, document)
+        assert path.read_bytes() == reference_encoding(document)
+        assert load_checkpoint(path) == {**document,
+                                         "version": CHECKPOINT_VERSION}
+
+    def test_mid_ingest_document_matches_reference(self, scenario, tmp_path,
+                                                   monkeypatch):
+        documents = []
+
+        def capture(path, document):
+            documents.append(document)
+            save_checkpoint(path, document)
+
+        monkeypatch.setattr(ingest_module, "save_checkpoint", capture)
+        ingest = make_ingest(scenario, tmp_path / "store",
+                             tmp_path / "ckpt.json", checkpoint_every=1000)
+        ingest.run(max_records=50)
+        ingest.checkpoint()
+        ingest.store.close()
+        (document,) = documents
+        assert document["detector"] and document["ring"]
+        assert (tmp_path / "ckpt.json").read_bytes() \
+            == reference_encoding(document)
+
+    def test_every_periodic_checkpoint_matches_reference(
+            self, scenario, tmp_path, monkeypatch):
+        written = []
+
+        def capture(path, document):
+            save_checkpoint(path, document)
+            written.append((path.read_bytes(), reference_encoding(document)))
+
+        monkeypatch.setattr(ingest_module, "save_checkpoint", capture)
+        ingest = make_ingest(scenario, tmp_path / "store",
+                             tmp_path / "ckpt.json", checkpoint_every=7)
+        ingest.run()
+        ingest.finish()
+        ingest.store.close()
+        assert len(written) == ingest.records_ingested // 7 + 1
+        for index, (actual, expected) in enumerate(written):
+            assert actual == expected, f"checkpoint {index} differs"
